@@ -10,8 +10,9 @@ its own that depends on the repository's crates by path) in release mode,
 runs it, and checks its output against BENCHMARK.json: with `--trace 0`
 every `end_to_end` metric must be present, with its unit and a positive
 value; with `--trace 1` every `per_layer` metric. The exact counts of a
-run are kept per workload and seed under the build directory, and a run
-whose counts differ from an earlier run with the same seed fails.
+run are kept per source tree, workload and seed under the build
+directory, and a run whose counts differ from an earlier run of the same
+sources with the same seed fails.
 
 Standard output ends with the benchmark's record (sizes, sample counts,
 exact counts, source revision, why the workload was chosen, each metric's
@@ -66,9 +67,11 @@ def revision():
     return {"git": git, "source_sha256": digest.hexdigest()}
 
 
-def check_counts(target, workload, seed, counts):
-    """Exact counts must repeat between runs with the same seed."""
-    store = target / "perfbench-counts"
+def check_counts(target, source, workload, seed, counts):
+    """Exact counts must repeat between runs of the same sources with the
+    same seed. They are keyed by the source digest: changed code may
+    rightly change them and starts a fresh reference."""
+    store = target / "perfbench-counts" / source
     store.mkdir(parents=True, exist_ok=True)
     path = store / f"{workload}-{seed}.json"
     if path.exists():
@@ -137,8 +140,10 @@ def main():
     if not (result["correct"] and result["failed"] == 0 and result["attempted"] >= 1):
         fail("output checks failed")
 
-    record["counts_repeat_earlier_run"] = check_counts(target, workload, seed, record["exact_counts"])
     record["revision"] = revision()
+    record["counts_repeat_earlier_run"] = check_counts(
+        target, record["revision"]["source_sha256"], workload, seed, record["exact_counts"]
+    )
     record["why"] = why[workload]
     record["metric_directions"] = {m["name"]: [m["unit"], m["better"]] for m in expected}
     print(json.dumps(record))

@@ -29,8 +29,18 @@ pub fn ms(t: Instant) -> f64 {
 }
 
 /// Operator classes that per-operator self time is bucketed into.
-pub const OP_CLASSES: [&str; 7] =
-    ["scan", "fused", "join_build", "join_probe", "join_anti", "union", "aggregate"];
+/// `aggregate_scan` is a γ that ran its fused-scan input inline (see
+/// [`self_class`]); `aggregate` is a γ over a materialized input.
+pub const OP_CLASSES: [&str; 8] = [
+    "scan",
+    "fused",
+    "join_build",
+    "join_probe",
+    "join_anti",
+    "union",
+    "aggregate",
+    "aggregate_scan",
+];
 
 /// The operator class of a compiled node and its child count, read from
 /// its EXPLAIN label: a bare `fused-scan(t)` is a scan, a scan with fused
@@ -85,19 +95,36 @@ fn depths(labels: &[String]) -> Vec<usize> {
     out
 }
 
+/// Pre-order indices of the direct children of node `i`.
+fn children(depth: &[usize], i: usize) -> impl Iterator<Item = usize> + '_ {
+    (i + 1..depth.len())
+        .take_while(move |&j| depth[j] > depth[i])
+        .filter(move |&j| depth[j] == depth[i] + 1)
+}
+
 /// Self time per node in ms: the node's inclusive wall time minus its
 /// children's.
 fn self_ms(depth: &[usize], metrics: &[OpMetrics]) -> Vec<f64> {
     (0..depth.len())
         .map(|i| {
-            let children: u64 = (i + 1..depth.len())
-                .take_while(|&j| depth[j] > depth[i])
-                .filter(|&j| depth[j] == depth[i] + 1)
-                .map(|j| metrics[j].wall_ns)
-                .sum();
-            metrics[i].wall_ns.saturating_sub(children) as f64 / 1e6
+            let nested: u64 = children(depth, i).map(|j| metrics[j].wall_ns).sum();
+            metrics[i].wall_ns.saturating_sub(nested) as f64 / 1e6
         })
         .collect()
+}
+
+/// The class node `i`'s self time is reported under. A γ directly over a
+/// fused scan runs that scan inline: the scan's slot records its rows but
+/// no wall time, and the scan with its σ/η kernels is timed inside γ's
+/// own wall. Such a γ's self time is `aggregate_scan`, so scan and kernel
+/// time under it never reads as aggregation alone.
+fn self_class(labels: &[String], depth: &[usize], metrics: &[OpMetrics], i: usize) -> &'static str {
+    let class = classify(&labels[i]).0;
+    if class == "aggregate" && children(depth, i).any(|j| metrics[j].wall_ns == 0) {
+        "aggregate_scan"
+    } else {
+        class
+    }
 }
 
 /// The stale relation `clean_sample` binds: the stale sample when η
@@ -169,7 +196,6 @@ pub fn clean(
     let t = Instant::now();
     let public = svc.view.public_of(&canonical)?;
     let public_ms = ms(t);
-    let wall = ms(start);
 
     l.push("ivm.plan_build_ms", plan_build);
     l.push("optimizer.cleaning_plan_ms", (planning - plan_build).max(0.0));
@@ -178,14 +204,13 @@ pub fn clean(
     l.push("exec.run_ms", run_ms);
     l.push("core.public_of_ms", public_ms);
     l.push("clean.layers_ms", planning + columnarize + compile_ms + run_ms + public_ms);
-    l.push("clean.traced_ms", wall);
 
     let labels = compiled.node_labels();
     let depth = depths(&labels);
     let metrics = sink.snapshots();
     let mut by_class = [0.0; OP_CLASSES.len()];
-    for (label, own) in labels.iter().zip(self_ms(&depth, &metrics)) {
-        let class = classify(label).0;
+    for (i, own) in self_ms(&depth, &metrics).into_iter().enumerate() {
+        let class = self_class(&labels, &depth, &metrics, i);
         let slot = OP_CLASSES.iter().position(|c| *c == class).expect("known class");
         by_class[slot] += own;
     }
@@ -337,5 +362,41 @@ mod tests {
             &[wall(10_000_000), wall(6_000_000), wall(4_000_000), wall(1_000_000)],
         );
         assert_eq!(own, vec![3.0, 2.0, 4.0, 1.0]);
+    }
+
+    #[test]
+    fn aggregate_over_an_inline_scan_is_its_own_class() {
+        let labels: Vec<String> = [
+            "Union",
+            "γ(group_cols=[0])",
+            "fused-scan(a)[ση]",
+            "γ(group_cols=[0])",
+            "join:Inner build",
+            "fused-scan(b)",
+            "fused-scan(c)",
+        ]
+        .map(String::from)
+        .to_vec();
+        let depth = depths(&labels);
+        assert_eq!(depth, vec![0, 1, 2, 1, 2, 3, 3]);
+        let m = |wall_ns, rows_in| OpMetrics { wall_ns, rows_in, ..OpMetrics::default() };
+        // The first γ ran its scan inline: the scan slot has rows but no
+        // wall time, so γ's whole 5 ms is scan + kernels + aggregation.
+        let metrics = [
+            m(20_000_000, 10),
+            m(5_000_000, 100),
+            m(0, 1_000),
+            m(9_000_000, 50),
+            m(6_000_000, 40),
+            m(2_000_000, 20),
+            m(1_000_000, 20),
+        ];
+        assert_eq!(self_ms(&depth, &metrics), vec![6.0, 5.0, 0.0, 3.0, 3.0, 2.0, 1.0]);
+        let classes: Vec<_> =
+            (0..labels.len()).map(|i| self_class(&labels, &depth, &metrics, i)).collect();
+        assert_eq!(
+            classes,
+            ["union", "aggregate_scan", "fused", "aggregate", "join_build", "scan", "scan"]
+        );
     }
 }

@@ -217,29 +217,47 @@ fn per_layer(plain: &Rec, traced: &Rec, v: &Verified) -> Vec<(String, Json)> {
     out
 }
 
-/// The traced layers must account for the operations they claim to
-/// explain: the layer steps of a traced cleaning cover its wall time, and
-/// the traced cleaning stays within the tracing overhead of the untraced
-/// one.
+/// Allowed distance from one, beyond the measured tracing overhead, of
+/// the typical ratio between a traced cleaning's layer sum and the
+/// untraced cleaning run beside it. On a 2-vCPU Xeon VM the ratio read
+/// 0.93–0.96 on `visit_ingest` and 0.98–1.01 on `conviva_timeline`.
+const LAYER_SUM_SLACK: f64 = 0.15;
+
+/// The traced layers must account for the cleaning they claim to explain:
+/// per read, the sum of the layer steps is compared with an untraced
+/// `clean_sample_with` of the same inputs run beside it, and the typical
+/// ratio must lie within the tracing overhead plus [`LAYER_SUM_SLACK`] of
+/// one. A layer step left out shows as a ratio below one, work the facade
+/// does not do as one above.
 fn check_layers_explain(plain: &Rec, traced: &Rec) -> Res<Json> {
     let l = &traced.layers;
-    let covered = ratio(l.sum("clean.layers_ms"), l.sum("clean.traced_ms"));
-    let layers_p50 = median(l.get("clean.layers_ms"));
-    let untraced_p50 = median(plain.ops.get("clean"));
+    let (layers, untraced) = (l.get("clean.layers_ms"), l.get("clean.untraced_ms"));
+    if layers.len() < 2 || layers.len() != untraced.len() {
+        return Err("traced reads and their untraced pairs do not match up".into());
+    }
+    let per_read: Vec<f64> = layers.iter().zip(untraced).map(|(a, b)| a / b).collect();
+    // Whichever cleaning of a pair runs second is faster (warm caches);
+    // the untraced one runs first on even reads. The two orders are
+    // summarized apart and combined geometrically, which cancels a
+    // multiplicative order effect.
+    let order =
+        |first: usize| median(&per_read.iter().skip(first).step_by(2).copied().collect::<Vec<_>>());
+    let layer_share = (order(0) * order(1)).sqrt();
     let overhead = ratio(ms_per_pass(traced), ms_per_pass(plain));
-    let slack = 0.5 + (overhead - 1.0).max(0.0);
-    let within = (layers_p50 - untraced_p50).abs() <= slack * untraced_p50;
-    if !(covered > 0.8 && covered <= 1.0 + 1e-9 && within) {
+    let slack = LAYER_SUM_SLACK + (overhead - 1.0).max(0.0);
+    if layer_share.is_nan() || (layer_share - 1.0).abs() > slack {
         return Err(format!(
-            "layer times do not explain the cleaning: layers cover {covered:.3} of traced wall, \
-             layer sum p50 {layers_p50:.3} ms vs untraced p50 {untraced_p50:.3} ms (overhead {overhead:.3})"
+            "layer times do not explain the cleaning: layer sum / untraced clean = \
+             {layer_share:.3} (over {} reads), allowed 1 ± {slack:.3} (overhead {overhead:.3})",
+            per_read.len()
         )
         .into());
     }
     Ok(Json::obj([
-        ("clean_layers_cover_traced_wall", Json::Num(covered)),
-        ("clean_layers_ms_p50", Json::Num(layers_p50)),
-        ("clean_untraced_ms_p50", Json::Num(untraced_p50)),
+        ("clean_layer_sum_over_untraced", Json::Num(layer_share)),
+        ("allowed_distance_from_1", Json::Num(slack)),
+        ("clean_layers_ms_p50", Json::Num(median(layers))),
+        ("clean_untraced_ms_p50", Json::Num(median(untraced))),
     ]))
 }
 

@@ -4,19 +4,14 @@
 use std::collections::BTreeMap;
 use std::fmt::Write;
 
-/// Percentile by linear interpolation between closest ranks (the
-/// definition NumPy and Python's `statistics` "inclusive" method use).
-/// `NaN` for an empty sample.
+/// The `p`-quantile by linear interpolation between closest ranks
+/// (`svc_stats`' definition), or `NaN` for an empty sample.
 pub fn percentile(values: &[f64], p: f64) -> f64 {
     if values.is_empty() {
-        return f64::NAN;
+        f64::NAN
+    } else {
+        svc_stats::quantile::quantile(values, p)
     }
-    let mut v = values.to_vec();
-    v.sort_by(f64::total_cmp);
-    let pos = p * (v.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    v[lo] + (v[hi] - v[lo]) * (pos - lo as f64)
 }
 
 /// Median of a sample (`NaN` when empty).
@@ -122,15 +117,6 @@ fn write_str(out: &mut String, s: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn percentiles_interpolate() {
-        let v = [4.0, 1.0, 3.0, 2.0];
-        assert_eq!(median(&v), 2.5);
-        assert_eq!(percentile(&v, 0.0), 1.0);
-        assert_eq!(percentile(&v, 1.0), 4.0);
-        assert!(median(&[]).is_nan());
-    }
 
     #[test]
     fn json_renders_numbers_exactly() {

@@ -170,7 +170,10 @@ fn uint(n: usize) -> Json {
 
 /// One SVC read: clean the sample against `pending`, then answer every
 /// query with AQP and CORR — untraced through the facade, traced through
-/// the layer-by-layer rebuild.
+/// the layer-by-layer rebuild. A traced read also runs one untraced
+/// `clean_sample_with` beside the rebuild, outside the timed operation
+/// and alternately before and after it, so the rebuild's layer sum can
+/// be compared with the facade under the same host conditions.
 #[allow(clippy::too_many_arguments)]
 fn read(
     svc: &SvcView,
@@ -182,6 +185,17 @@ fn read(
     rec: &mut Rec,
     traced: bool,
 ) -> Res<()> {
+    let paired = |rec: &mut Rec| -> Res<()> {
+        let t = Instant::now();
+        let cleaned = svc.clean_sample_with(db, pending, catalog)?;
+        rec.layers.push("clean.untraced_ms", ms(t));
+        rec.check(cleaned.canonical.same_contents(&expect.sample), "paired clean_sample");
+        Ok(())
+    };
+    let paired_first = traced && rec.layers.get("clean.untraced_ms").len().is_multiple_of(2);
+    if paired_first {
+        paired(rec)?;
+    }
     let t = Instant::now();
     let cleaned = if traced {
         layers::clean(svc, db, pending, catalog, &mut rec.layers, false)?.0
@@ -190,6 +204,9 @@ fn read(
     };
     rec.ops.push("clean", ms(t));
     rec.check(cleaned.canonical.same_contents(&expect.sample), "cleaned sample");
+    if traced && !paired_first {
+        paired(rec)?;
+    }
     for (i, q) in queries.iter().enumerate() {
         let t = Instant::now();
         let aqp = if traced {
