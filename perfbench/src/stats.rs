@@ -40,6 +40,23 @@ impl Series {
         self.get(name).iter().sum()
     }
 
+    /// The samples of `name` taken over `passes` passes that each replay
+    /// the same operations in the same order, folded to one latency per
+    /// operation: the least of its repetitions. Host interference only
+    /// ever adds time, so the least repetition is the operation's own
+    /// cost; an error when the samples do not split evenly into passes.
+    pub fn best_of_passes(&self, name: &str, passes: u64) -> Result<Vec<f64>, String> {
+        let v = self.get(name);
+        let passes = passes as usize;
+        if passes == 0 || !v.len().is_multiple_of(passes) {
+            return Err(format!("{} {name} samples do not split into {passes} passes", v.len()));
+        }
+        let per_pass = v.len() / passes;
+        Ok((0..per_pass)
+            .map(|i| v.iter().skip(i).step_by(per_pass).copied().fold(f64::INFINITY, f64::min))
+            .collect())
+    }
+
     /// Median of `name`, or 0 when the series is empty (a layer the
     /// workload never enters).
     pub fn median_or_zero(&self, name: &str) -> f64 {
@@ -123,5 +140,16 @@ mod tests {
         let j =
             Json::obj([("a", Json::Num(0.1)), ("b", Json::Int(3)), ("c", Json::Str("q\"".into()))]);
         assert_eq!(j.render(), r#"{"a": 0.1, "b": 3, "c": "q\""}"#);
+    }
+
+    #[test]
+    fn best_of_passes_takes_each_operations_least_repetition() {
+        let mut s = Series::default();
+        for v in [5.0, 1.0, 9.0, 3.0, 2.0, 7.0] {
+            s.push("op", v);
+        }
+        assert_eq!(s.best_of_passes("op", 2).unwrap(), vec![3.0, 1.0, 7.0]);
+        assert!(s.best_of_passes("op", 4).is_err());
+        assert!(s.best_of_passes("op", 0).is_err());
     }
 }
