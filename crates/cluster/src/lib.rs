@@ -15,12 +15,12 @@
 //! so this crate reproduces the three mechanisms those experiments depend
 //! on:
 //!
-//! 1. **batch amortization** — per-batch driver work (plan compilation,
-//!    change-table merge folding) makes small batches slow (Figure 14a).
+//! 1. **batch amortization** — per-batch driver work (plan dispatch, delta
+//!    binding, change-table folding) makes small batches slow (Figure 14a).
 //!    [`minibatch::BatchPipeline`] measures this on *real* maintenance
 //!    plans: delta chunks compile to per-partition change tables
-//!    (`svc-ivm`), evaluate on the pool (`WorkerPool::evaluate_plans`), and
-//!    merge into the view. The synthetic spin model survives as
+//!    (`svc-ivm`), evaluate on the pool (`WorkerPool::run_compiled`), and
+//!    fold into the view by key (`svc_ivm::ChangeFold`). The synthetic spin model survives as
 //!    [`minibatch::SpinPipeline`] for calibration only;
 //! 2. **contention** — two concurrent maintenance pipelines share the
 //!    worker pool and reduce each other's throughput, less so at large

@@ -6,12 +6,15 @@
 //! chunks, compiles every chunk into a signed change-table plan
 //! (`svc_ivm::batch_change_plans` — all chunks share one plan shape and one
 //! binding set, the multi-query batch-evaluation setting), evaluates the
-//! batch on the shared [`WorkerPool`] (`WorkerPool::evaluate_plans`), and
-//! folds the resulting change tables into the materialized view with the
-//! driver-side merge plan (`svc_ivm::merge_change_plan`). Larger batches
-//! amortize the per-batch driver work (plan compilation, merge folding)
-//! over more records — the Figure 14 shape, now measured on real plans
-//! instead of modeled with synthetic busy-work.
+//! batch on the shared [`WorkerPool`] (`WorkerPool::run_compiled`), and
+//! folds the resulting change tables into the materialized view by key
+//! (`svc_ivm::ChangeFold`): each change row updates, inserts or deletes one
+//! group through the view's primary-key index, so a fold costs
+//! O(|change|), not O(|view|). Every batch of a call folds into one shadow
+//! copy of the view, committed once at the end. Larger batches amortize the
+//! per-batch driver work (dispatch, binding, folding) over more records —
+//! the Figure 14 shape, measured on real plans instead of modeled with
+//! synthetic busy-work.
 //!
 //! Chunk-level parallelism is exact when no cross-chunk delta interactions
 //! exist: single-table batches through tree-shaped views (each touched
@@ -34,7 +37,7 @@ use std::time::{Duration, Instant};
 use svc_catalog::Catalog;
 use svc_ivm::delta::{del_leaf, del_leaf_at, ins_leaf, ins_leaf_at};
 use svc_ivm::strategy::{
-    batch_change_plans, maintenance_plan, merge_change_plan, MaintCatalog, CHANGE_LEAF, STALE_LEAF,
+    batch_change_plans, maintenance_plan, ChangeFold, MaintCatalog, STALE_LEAF,
 };
 use svc_ivm::view::{maintenance_bindings, MaterializedView};
 use svc_relalg::derive::Derived;
@@ -92,7 +95,10 @@ impl BatchRun {
 ///
 /// Under either policy the view itself is safe: maintain folds batches into
 /// a *shadow* table and commits it to the view in one epoch swap at the
-/// end, so no failure mode can expose a partial fold.
+/// end, so no failure mode can expose a partial fold. Under `Strict` every
+/// batch folds into one shadow (any error discards all of it); under
+/// `RetryQuarantine` each attempt folds into a copy of the pre-batch
+/// shadow, so a retry never sees a half-applied batch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum FailurePolicy {
     /// The default: the first failing batch aborts the call with an error
@@ -162,12 +168,13 @@ pub struct BatchPipeline {
     /// on), batch plans additionally get cost-based join reordering, with
     /// the delta-chunk and stale-view leaves overlaid on the fly.
     pub catalog: Option<Arc<Catalog>>,
-    /// Morsel size for intra-plan parallelism. When set, the plans that
-    /// run as a *single* task per batch — the sequential fallback
-    /// maintenance plan of non-change-table views and the driver-side
-    /// merge plan — execute morsel-parallel on the shared pool
-    /// (`PhysicalPlan::run_parallel`), their scans split into row ranges
-    /// that interleave with other sessions' tasks on the shared queue.
+    /// Morsel size for intra-plan parallelism. When set, the sequential
+    /// fallback maintenance plan of non-change-table views — the one plan
+    /// that runs as a *single* task per batch — executes morsel-parallel on
+    /// the shared pool (`PhysicalPlan::run_parallel`), its scans split into
+    /// row ranges that interleave with other sessions' tasks on the shared
+    /// queue. Change-table folds run no plan, so this knob does not touch
+    /// them.
     /// `Some(0)` means "morsel-parallel, size auto-tuned": the size is
     /// derived per plan from the attached catalog's row counts (or the
     /// live tables when no catalog is attached), targeting ~64k values
@@ -176,10 +183,9 @@ pub struct BatchPipeline {
     /// small plans already saturate the pool).
     pub morsel_size: Option<usize>,
     /// Hash-partition count for join builds and set-op dedup inside the
-    /// morsel-parallel plan runs above (the fallback maintenance plan and
-    /// the merge fold); distinct from [`BatchPipeline::partitions`], which
-    /// chunks *deltas* across change plans. `0` (the default) auto-tunes
-    /// from the build input size
+    /// morsel-parallel fallback plan runs above; distinct from
+    /// [`BatchPipeline::partitions`], which chunks *deltas* across change
+    /// plans. `0` (the default) auto-tunes from the build input size
     /// ([`svc_relalg::exec::auto_partition_count`]); any value is rounded
     /// up to a power of two. Results are identical for every value — this
     /// is purely a parallelism/skew knob. Ignored when `morsel_size` is
@@ -213,7 +219,7 @@ struct PipelineCounters {
     backlog: Gauge,
     /// Cumulative wall time of driver-side change-table folds, in ns.
     fold_ns: Counter,
-    /// Change-table folds performed.
+    /// Change-table folds performed (one per change table).
     folds: Counter,
     /// Batch plan sets compiled (the `plan_compiles` observable).
     compiles: Counter,
@@ -515,8 +521,16 @@ impl BatchPipeline {
         let canonical = view.canonical().clone();
         // Deltas of tables the view never reads cannot affect it: scope the
         // pass (and the throughput accounting) to the view's own leaves, so
-        // unrelated pending tables are a no-op rather than dead weight.
-        let pending = pending.restricted_to(&canonical.plan.leaf_tables());
+        // unrelated pending tables are a no-op rather than dead weight. A
+        // pending set that touches only those leaves is used as is, uncopied.
+        let leaves = canonical.plan.leaf_tables();
+        let restricted;
+        let pending = if pending.touched_tables().iter().all(|t| leaves.contains(t)) {
+            pending
+        } else {
+            restricted = pending.restricted_to(&leaves);
+            &restricted
+        };
         let mut run = BatchRun { records: pending.len(), ..Default::default() };
         if pending.is_empty() {
             return Ok(run);
@@ -528,12 +542,12 @@ impl BatchPipeline {
         let _backlog_reset = BacklogGuard(&self.counters.backlog);
         let _maintain_span = self.tracer.as_deref().map(|t| t.span("maintain", "pipeline"));
 
-        let info = svc_ivm::DeltaInfo::of(&pending);
+        let info = svc_ivm::DeltaInfo::of(pending);
         let eligible =
             canonical.agg.is_some() && canonical.change_table_eligible(info.has_deletions());
-        // The catalog and the driver-side merge plan depend only on the
-        // canonical view and the stale schema/key, which are invariant
-        // across every batch of this call — build them once.
+        // The catalog and the change fold depend only on the canonical view
+        // and the stale schema/key, which are invariant across every batch
+        // of this call — build them once.
         let cat = MaintCatalog {
             db,
             stale: Derived {
@@ -551,7 +565,7 @@ impl BatchPipeline {
             let committed = match self.policy {
                 FailurePolicy::Strict => {
                     let result = self
-                        .run_fallback_plan(db, view, &cat, &canonical, &plan, &pending)
+                        .run_fallback_plan(db, view, &cat, &canonical, &plan, pending)
                         .map_err(|e| {
                             StorageError::Invalid(format!(
                                 "fallback maintenance failed; view kept its pre-maintain \
@@ -563,7 +577,7 @@ impl BatchPipeline {
                 }
                 FailurePolicy::RetryQuarantine { retries, backoff_ms } => {
                     let attempt = self.with_retries(retries, backoff_ms, &mut run, || {
-                        self.run_fallback_plan(db, view, &cat, &canonical, &plan, &pending)
+                        self.run_fallback_plan(db, view, &cat, &canonical, &plan, pending)
                     });
                     match attempt {
                         Ok(result) => {
@@ -585,12 +599,7 @@ impl BatchPipeline {
             return Ok(run);
         }
 
-        // The merge plan is invariant across batches: optimize and compile
-        // it once per call, run it once per change-table fold.
-        let merge = {
-            let (m, _) = optimize(&merge_change_plan(&canonical, &cat)?, &cat)?;
-            compile(&m, &cat)?
-        };
+        let fold = ChangeFold::new(&canonical, view.table().schema())?;
         // Cache identity of this view's batch plans: the generated plan
         // set is a pure function of the canonical plan and the stale type
         // (plus the chunk signature appended per batch) — and the compiled
@@ -612,39 +621,39 @@ impl BatchPipeline {
         // Batch boundaries obey the same exactness condition as chunk
         // parallelism: every batch's change table reads the original base
         // state, so batches (like chunks) must not interact.
-        let exact = chunk_parallel_exact(&canonical.plan, &pending);
+        let exact = chunk_parallel_exact(&canonical.plan, pending);
         let n_batches = if exact { run.records.div_ceil(batch_size) } else { 1 };
-        // Shadow fold: batches accumulate into a local table and the view
-        // commits exactly once at the end, so an error (or panic) anywhere
-        // in the loop leaves the view at its pre-maintain epoch with every
-        // delta unconsumed — no failure mode exposes a partial fold.
+        // Shadow fold: batches accumulate into a local copy of the view
+        // (cloned once, on the first fold) and the view commits exactly once
+        // at the end, so an error (or panic) anywhere in the loop leaves the
+        // view at its pre-maintain epoch with every delta unconsumed — no
+        // failure mode exposes a partial fold.
         let batches = pending.partition(n_batches);
         let total = batches.len();
-        let mut folded: Option<Table> = None;
+        let mut shadow: Option<Table> = None;
         for (idx, batch) in batches.into_iter().enumerate() {
             let records = batch.len();
             let _batch_span = self.tracer.as_deref().map(|t| t.span("batch", "pipeline"));
-            if let Some((next, plans)) = self.fold_one_batch(
+            if let Some(plans) = self.fold_one_batch(
                 db,
                 view,
                 &canonical,
                 &cat,
-                &merge,
+                &fold,
                 batch,
                 exact,
                 &view_key,
-                folded.as_ref(),
+                &mut shadow,
                 idx,
                 total,
                 &mut run,
             )? {
-                folded = Some(next);
                 run.plans_evaluated += plans;
             }
             self.counters.backlog.add(-(records as i64));
             run.batches += 1;
         }
-        if let Some(table) = folded {
+        if let Some(table) = shadow {
             view.set_table(table);
         }
         run.seconds = start.elapsed().as_secs_f64();
@@ -652,8 +661,8 @@ impl BatchPipeline {
     }
 
     /// Fold one mini-batch into the shadow table under the pipeline's
-    /// failure policy. Returns the folded-so-far table and the plan count,
-    /// or `Ok(None)` when the batch was quarantined (retry policy only).
+    /// failure policy. Returns the plan count, or `Ok(None)` when the batch
+    /// was quarantined (retry policy only).
     #[allow(clippy::too_many_arguments)]
     fn fold_one_batch(
         &self,
@@ -661,27 +670,29 @@ impl BatchPipeline {
         view: &mut MaterializedView,
         canonical: &svc_ivm::Canonical,
         cat: &MaintCatalog<'_>,
-        merge: &PhysicalPlan,
+        fold: &ChangeFold,
         batch: Deltas,
         chunk_parallel: bool,
         view_key: &str,
-        folded: Option<&Table>,
+        shadow: &mut Option<Table>,
         idx: usize,
         total: usize,
         run: &mut BatchRun,
-    ) -> Result<Option<(Table, usize)>> {
+    ) -> Result<Option<usize>> {
         match self.policy {
             FailurePolicy::Strict => {
-                let stale = folded.unwrap_or_else(|| view.table());
+                // Any error aborts the whole call and drops the shadow, so
+                // every batch folds straight into the one copy.
+                let shadow = shadow.get_or_insert_with(|| view.table().clone());
                 self.run_change_batch(
                     db,
                     canonical,
                     cat,
-                    merge,
-                    batch,
+                    fold,
+                    &batch,
                     chunk_parallel,
                     view_key,
-                    stale,
+                    shadow,
                 )
                 .map(Some)
                 .map_err(|e| {
@@ -694,21 +705,29 @@ impl BatchPipeline {
                 })
             }
             FailurePolicy::RetryQuarantine { retries, backoff_ms } => {
-                let stale = folded.unwrap_or_else(|| view.table());
+                // A failed attempt may leave a partial fold behind, so each
+                // attempt folds into its own copy of the pre-batch state and
+                // only a successful one replaces the shadow.
+                let base = shadow.as_ref().unwrap_or_else(|| view.table());
                 let attempt = self.with_retries(retries, backoff_ms, run, || {
-                    self.run_change_batch(
+                    let mut next = base.clone();
+                    let plans = self.run_change_batch(
                         db,
                         canonical,
                         cat,
-                        merge,
-                        batch.clone(),
+                        fold,
+                        &batch,
                         chunk_parallel,
                         view_key,
-                        stale,
-                    )
+                        &mut next,
+                    )?;
+                    Ok((next, plans))
                 });
                 match attempt {
-                    Ok(folded) => Ok(Some(folded)),
+                    Ok((next, plans)) => {
+                        *shadow = Some(next);
+                        Ok(Some(plans))
+                    }
                     Err(e) => {
                         self.quarantine_batch(view, idx, batch, retries + 1, &e);
                         run.quarantined += 1;
@@ -899,27 +918,32 @@ impl BatchPipeline {
         }
     }
 
-    /// Execute one change-table mini-batch against `stale` (the shadow
-    /// table folded so far) without touching the view; returns the next
-    /// shadow table and the plan count.
+    /// Execute one change-table mini-batch and fold its change tables into
+    /// `shadow` (the view folded so far) without touching the view; returns
+    /// the plan count. On error `shadow` may hold a partial fold.
     #[allow(clippy::too_many_arguments)]
     fn run_change_batch(
         &self,
         db: &Database,
         canonical: &svc_ivm::Canonical,
         cat: &MaintCatalog<'_>,
-        merge: &PhysicalPlan,
-        batch: Deltas,
+        fold: &ChangeFold,
+        batch: &Deltas,
         chunk_parallel: bool,
         view_key: &str,
-        stale: &Table,
-    ) -> Result<(Table, usize)> {
+        shadow: &mut Table,
+    ) -> Result<usize> {
         // Map stage: one signed change table per delta chunk, all plans
         // bound side by side (`Deltas::partition` never emits empty chunks,
-        // so no worker slot is burned on a no-op partition). The batch is
-        // consumed — partitioning moves rows into their chunks.
-        let chunks = if chunk_parallel { batch.partition(self.partitions) } else { vec![batch] };
-        let compiled = self.compiled_batch_plans(canonical, cat, &chunks, view_key)?;
+        // so no worker slot is burned on a no-op partition).
+        let parted;
+        let chunks = if chunk_parallel {
+            parted = batch.partition(self.partitions);
+            &parted[..]
+        } else {
+            std::slice::from_ref(batch)
+        };
+        let compiled = self.compiled_batch_plans(canonical, cat, chunks, view_key)?;
         let mut bindings = Bindings::from_database(db);
         for (p, chunk) in chunks.iter().enumerate() {
             for (name, set) in chunk.iter() {
@@ -930,38 +954,19 @@ impl BatchPipeline {
         svc_fault::fail_point!(svc_fault::site::BATCH_EVALUATE, StorageError::Invalid);
         let changes = self.pool.run_compiled(&compiled, &bindings)?;
 
-        // Reduce stage (driver): fold each change table into the shadow
-        // table. The merge is associative for the change-table-eligible
-        // merge rules, so chunk order does not matter.
+        // Reduce stage (driver): fold each change table into the shadow by
+        // key, in chunk order. The fold is associative for the
+        // change-table-eligible merge rules, so chunk order does not change
+        // the result.
         let fold_start = Instant::now();
         let _fold_span = self.tracer.as_deref().map(|t| t.span("fold", "pipeline"));
-        let mut current: Option<Table> = None;
         for change in &changes {
             svc_fault::fail_point!(svc_fault::site::BATCH_FOLD, StorageError::Invalid);
-            let stale_now: &Table = current.as_ref().unwrap_or(stale);
-            let next = {
-                let mut mb = Bindings::new();
-                mb.bind(STALE_LEAF, stale_now);
-                mb.bind(CHANGE_LEAF, change);
-                // The merge plan's inputs are the stale view and one change
-                // table; the view dominates, so it sizes the morsels.
-                match self.resolved_morsel(db, &[], Some(stale_now)) {
-                    Some(morsel) => merge.run_with(
-                        &mb,
-                        svc_relalg::exec::ExecMode::morsel(self.pool.as_ref(), morsel)
-                            .partitions(self.join_partitions),
-                    )?,
-                    None => merge.run(&mb)?,
-                }
-            };
-            current = Some(next);
+            fold.apply(shadow, change)?;
         }
         self.counters.fold_ns.add(fold_start.elapsed().as_nanos() as u64);
         self.counters.folds.add(changes.len() as u64);
-        // `Deltas::partition` never emits empty chunks and the batch is
-        // non-empty, so at least one change table always folds.
-        let folded = current.unwrap_or_else(|| stale.clone());
-        Ok((folded, compiled.len()))
+        Ok(compiled.len())
     }
 
     /// The compiled per-partition change plans for one batch: served from
@@ -1004,8 +1009,8 @@ impl BatchPipeline {
             // With a catalog attached, overlay stats for every chunk's
             // delta leaves (tiny tables — the build scan is noise) so the
             // per-partition change plans get cost-based join order too.
-            // Change plans never read `__stale` (the merge plan does, and
-            // it is optimized separately), so no view-wide stats build.
+            // Change plans never read `__stale` (the keyed fold applies
+            // their output to the view), so no view-wide stats build.
             // Optimization + compilation fan out on the pool: this is the
             // once-per-epoch cold path, but with many partitions it still
             // should not serialize on the driver.
@@ -1290,6 +1295,32 @@ mod tests {
         }
     }
 
+    /// Under the strict policy every batch of a call folds into one shadow:
+    /// the call clones the view exactly once, however many batches it
+    /// runs, and performs exactly one fold per change table.
+    #[test]
+    fn strict_maintain_clones_the_view_once() {
+        let db = db();
+        let view = MaterializedView::create("v", visit_view(), &db).unwrap();
+        let deltas = log_stream(&db, 600);
+        let expected = view.recompute_fresh(&db, &deltas).unwrap();
+
+        let pipeline = BatchPipeline::new(2);
+        let mut v = view;
+        let (clones, folds) = (Table::clone_count(), pipeline.metrics().folds);
+        let run = pipeline.maintain(&db, &mut v, &deltas, 97).unwrap();
+        let clones = Table::clone_count() - clones;
+        let folds = pipeline.metrics().folds - folds;
+
+        assert!(run.batches >= 3, "needs several batches, got {}", run.batches);
+        assert_eq!(clones, 1, "{} batches must share one shadow copy of the view", run.batches);
+        // Every batch holds more records than partitions, so each yields
+        // `partitions` change tables.
+        assert_eq!(folds, (run.batches * pipeline.partitions) as u64, "one fold per change table");
+        assert_eq!(folds, run.plans_evaluated as u64);
+        assert!(v.table().approx_same_contents(&expected, 1e-9));
+    }
+
     #[test]
     fn pipeline_with_catalog_is_exact() {
         let db = db();
@@ -1550,29 +1581,48 @@ mod tests {
         assert!(v.table().approx_same_contents(&expected, 1e-9));
     }
 
-    /// `morsel_size` changes scheduling only, never results: fallback and
-    /// merge plans produce the same tables with and without it — including
-    /// `Some(0)`, the catalog-derived auto-tuned size.
+    /// The visit view with a median: outside the change-table class, so
+    /// every batch runs the fallback plan — a join plus γ over the new base
+    /// state, the plan `morsel_size` and `join_partitions` act on.
+    fn median_visit_view() -> Plan {
+        Plan::scan("log")
+            .join(Plan::scan("video"), JoinKind::Inner, &[("videoId", "videoId")])
+            .aggregate(
+                &["videoId"],
+                vec![
+                    AggSpec::count_all("visits"),
+                    AggSpec::new("medDur", AggFunc::Median, col("duration")),
+                ],
+            )
+    }
+
+    /// `morsel_size` changes scheduling only, never results: the fallback
+    /// plan and the keyed change fold produce the same tables with and
+    /// without it — including `Some(0)`, the catalog-derived auto-tuned
+    /// size.
     #[test]
     fn morsel_size_is_result_invariant() {
         let db = db();
         let deltas = log_stream(&db, 400);
-        let view = MaterializedView::create("v", visit_view(), &db).unwrap();
-        let expected = view.recompute_fresh(&db, &deltas).unwrap();
-        for morsel in [Some(0), Some(1), Some(33), Some(usize::MAX), None] {
-            let mut pipeline = BatchPipeline::new(2);
-            if morsel == Some(0) {
-                // Auto-tuning should read row counts off the catalog when
-                // one is attached (and off the live tables otherwise).
-                pipeline = pipeline.with_catalog(Arc::new(Catalog::build(&db)));
+        for def in [visit_view(), median_visit_view()] {
+            let view = MaterializedView::create("v", def, &db).unwrap();
+            let expected = view.recompute_fresh(&db, &deltas).unwrap();
+            for morsel in [Some(0), Some(1), Some(33), Some(usize::MAX), None] {
+                let mut pipeline = BatchPipeline::new(2);
+                if morsel == Some(0) {
+                    // Auto-tuning should read row counts off the catalog
+                    // when one is attached (and off the live tables
+                    // otherwise).
+                    pipeline = pipeline.with_catalog(Arc::new(Catalog::build(&db)));
+                }
+                pipeline.morsel_size = morsel;
+                let mut v = view.clone();
+                pipeline.maintain(&db, &mut v, &deltas, 80).unwrap();
+                assert!(
+                    v.table().approx_same_contents(&expected, 1e-9),
+                    "morsel_size {morsel:?} changed the maintenance result"
+                );
             }
-            pipeline.morsel_size = morsel;
-            let mut v = view.clone();
-            pipeline.maintain(&db, &mut v, &deltas, 80).unwrap();
-            assert!(
-                v.table().approx_same_contents(&expected, 1e-9),
-                "morsel_size {morsel:?} changed the maintenance result"
-            );
         }
     }
 
@@ -1582,18 +1632,20 @@ mod tests {
     fn join_partitions_are_result_invariant() {
         let db = db();
         let deltas = log_stream(&db, 400);
-        let view = MaterializedView::create("v", visit_view(), &db).unwrap();
-        let expected = view.recompute_fresh(&db, &deltas).unwrap();
-        for parts in [0usize, 1, 3, 8, 64] {
-            let mut pipeline = BatchPipeline::new(2);
-            pipeline.morsel_size = Some(16);
-            pipeline.join_partitions = parts;
-            let mut v = view.clone();
-            pipeline.maintain(&db, &mut v, &deltas, 80).unwrap();
-            assert!(
-                v.table().approx_same_contents(&expected, 1e-9),
-                "join_partitions {parts} changed the maintenance result"
-            );
+        for def in [visit_view(), median_visit_view()] {
+            let view = MaterializedView::create("v", def, &db).unwrap();
+            let expected = view.recompute_fresh(&db, &deltas).unwrap();
+            for parts in [0usize, 1, 3, 8, 64] {
+                let mut pipeline = BatchPipeline::new(2);
+                pipeline.morsel_size = Some(16);
+                pipeline.join_partitions = parts;
+                let mut v = view.clone();
+                pipeline.maintain(&db, &mut v, &deltas, 80).unwrap();
+                assert!(
+                    v.table().approx_same_contents(&expected, 1e-9),
+                    "join_partitions {parts} changed the maintenance result"
+                );
+            }
         }
     }
 

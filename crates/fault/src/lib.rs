@@ -220,7 +220,7 @@ macro_rules! fail_point_panic {
 pub mod site {
     /// `Table::insert` / `Table::upsert` — every materialized result table
     /// is built through these, so this site fails plan evaluation on
-    /// workers and merge folds on the driver alike.
+    /// workers and keyed change folds on the driver alike.
     pub const TABLE_MUTATE: &str = "storage::table::mutate";
     /// One morsel task of a parallel plan run (`exec::run` fan-out).
     pub const EXEC_MORSEL: &str = "relalg::exec::morsel";

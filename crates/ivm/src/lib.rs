@@ -19,7 +19,9 @@
 //!   expressions (the classic join delta rules);
 //! * [`strategy`] — builds the maintenance plan: the change-table method of
 //!   Gupta & Mumick [22,23] used by the paper's experiments, with a
-//!   recomputation fallback expressed *as a plan* so sampling still applies;
+//!   recomputation fallback expressed *as a plan* so sampling still applies,
+//!   and the keyed [`strategy::ChangeFold`] that mini-batch maintenance uses
+//!   to apply change tables in O(|change|);
 //! * [`view`] — [`view::MaterializedView`]: definition + materialized state
 //!   + staleness bookkeeping + `maintain()`.
 
@@ -31,7 +33,7 @@ pub mod view;
 pub use canon::{canonicalize, Canonical};
 pub use delta::{derive_delta, DeltaInfo, DeltaPlan};
 pub use strategy::{
-    batch_change_plans, maintenance_plan, merge_change_plan, MaintCatalog, PlanKind, CHANGE_LEAF,
-    STALE_LEAF,
+    batch_change_plans, maintenance_plan, merge_change_plan, ChangeFold, MaintCatalog, PlanKind,
+    CHANGE_LEAF, STALE_LEAF,
 };
 pub use view::MaterializedView;

@@ -20,12 +20,12 @@
 //!   Definition 3 allows — mirroring the paper's observation that V21/V22
 //!   benefit less but still work.
 
-use svc_storage::{Database, Result, StorageError};
+use svc_storage::{Database, Field, KeyTuple, Result, Schema, StorageError, Table};
 
 use svc_relalg::derive::{derive, Derived, LeafProvider};
 use svc_relalg::optimizer::{optimize, optimize_with, CardEstimator, OptimizeReport};
 use svc_relalg::plan::{JoinKind, Plan};
-use svc_relalg::scalar::{col, lit, Expr, Func};
+use svc_relalg::scalar::{col, lit, BoundExpr, Expr, Func};
 
 use crate::canon::{Canonical, MergeRule, SVC_CNT};
 use crate::delta::{derive_delta, new_state, DeltaInfo};
@@ -34,10 +34,13 @@ use crate::delta::{derive_delta, new_state, DeltaInfo};
 pub const STALE_LEAF: &str = "__stale";
 
 /// Leaf name bound to an already-materialized signed change table inside
-/// [`merge_change_plan`] — the driver-side merge step of mini-batch
-/// maintenance, where workers evaluate per-partition change tables and the
-/// results are folded into the view one at a time.
+/// [`merge_change_plan`], the test oracle for [`ChangeFold`] (mini-batch
+/// maintenance folds change tables by key, not through this plan).
 pub const CHANGE_LEAF: &str = "__change";
+
+/// Prefix of the change-table columns inside the merge: the stale column
+/// `a` meets the change column `__c_a`.
+const CHANGE_PREFIX: &str = "__c_";
 
 /// Which maintenance strategy a plan implements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -294,42 +297,55 @@ fn change_table_expr_with(
     })
 }
 
-/// Merge an arbitrary change-table-shaped plan with `Scan __stale` using the
-/// canonical merge rules — the second half of the change-table strategy.
-fn merge_with_stale(canonical: &Canonical, cat: &MaintCatalog<'_>, change: Plan) -> Result<Plan> {
+/// The merged value of every aggregate column of a group present in both
+/// the stale view and the change table, as an expression over the stale
+/// column `a` and the change column `__c_a` — the one definition of merge
+/// semantics, bound by the merge plan and by [`ChangeFold`] alike.
+fn merge_exprs(canonical: &Canonical, agg: &[String]) -> Result<Vec<(String, Expr)>> {
     let shape = canonical
         .agg
         .as_ref()
         .ok_or_else(|| StorageError::Invalid("change table requires an aggregate view".into()))?;
+    agg.iter()
+        .zip(shape.cols.iter().map(|c| &c.rule))
+        .map(|(a, rule)| {
+            let s = col(a.clone());
+            let c = col(format!("{CHANGE_PREFIX}{a}"));
+            let merged = match rule {
+                MergeRule::Additive => coalesce0(s).add(coalesce0(c)),
+                MergeRule::TakeMin => least(s, c),
+                MergeRule::TakeMax => greatest(s, c),
+                MergeRule::Recompute => {
+                    return Err(StorageError::Invalid(
+                        "non-mergeable aggregate in change-table plan".into(),
+                    ))
+                }
+            };
+            Ok((a.clone(), merged))
+        })
+        .collect()
+}
+
+/// The liveness predicate of a merged row: groups whose rows were all
+/// deleted (superfluous rows) fail it and leave the view.
+fn live_group() -> Expr {
+    col(SVC_CNT).gt(lit(0i64))
+}
+
+/// Merge an arbitrary change-table-shaped plan with `Scan __stale` using the
+/// canonical merge rules — the second half of the change-table strategy.
+fn merge_with_stale(canonical: &Canonical, cat: &MaintCatalog<'_>, change: Plan) -> Result<Plan> {
     let names = canon_names(canonical, cat)?;
 
-    let identity_cols = |names: &[String]| -> Vec<(String, Expr)> {
-        names.iter().map(|n| (n.clone(), col(n.clone()))).collect()
-    };
-
-    let change_renamed = rename_all(change, &names.all, "__c_");
+    let change_renamed = rename_all(change, &names.all, CHANGE_PREFIX);
     let stale = Plan::scan(STALE_LEAF);
     let on: Vec<(String, String)> =
-        names.group.iter().map(|g| (g.clone(), format!("__c_{g}"))).collect();
+        names.group.iter().map(|g| (g.clone(), format!("{CHANGE_PREFIX}{g}"))).collect();
     let on_rev: Vec<(String, String)> = on.iter().map(|(l, r)| (r.clone(), l.clone())).collect();
 
     let mut merged_cols: Vec<(String, Expr)> =
         names.group.iter().map(|g| (g.clone(), col(g.clone()))).collect();
-    for (a, rule) in names.agg.iter().zip(shape.cols.iter().map(|c| &c.rule)) {
-        let s = col(a.clone());
-        let c = col(format!("__c_{a}"));
-        let merged = match rule {
-            MergeRule::Additive => coalesce0(s).add(coalesce0(c)),
-            MergeRule::TakeMin => least(s, c),
-            MergeRule::TakeMax => greatest(s, c),
-            MergeRule::Recompute => {
-                return Err(StorageError::Invalid(
-                    "non-mergeable aggregate in change-table plan".into(),
-                ))
-            }
-        };
-        merged_cols.push((a.clone(), merged));
-    }
+    merged_cols.extend(merge_exprs(canonical, &names.agg)?);
     let matched_v = Plan::Project {
         input: Box::new(Plan::Join {
             left: Box::new(stale.clone()),
@@ -352,15 +368,15 @@ fn merge_with_stale(canonical: &Canonical, cat: &MaintCatalog<'_>, change: Plan)
             kind: JoinKind::Anti,
             on: on_rev,
         }),
-        columns: identity_cols(&names.all)
-            .into_iter()
-            .map(|(n, _)| (n.clone(), col(format!("__c_{n}"))))
+        columns: names
+            .all
+            .iter()
+            .map(|n| (n.clone(), col(format!("{CHANGE_PREFIX}{n}"))))
             .collect(),
     };
 
     let merged = matched_v.union(stale_only.union(change_only));
-    // Drop groups whose rows were all deleted (superfluous rows).
-    Ok(merged.select(col(SVC_CNT).gt(lit(0i64))))
+    Ok(merged.select(live_group()))
 }
 
 /// The change-table strategy for a canonical top-level aggregate: signed
@@ -376,13 +392,111 @@ fn change_table_plan(
     }
 }
 
-/// The driver-side merge plan of mini-batch maintenance: fold one
-/// already-materialized change table (bound as [`CHANGE_LEAF`]) into the
-/// stale view (bound as [`STALE_LEAF`]). For additive merge rules the fold
-/// is associative, so per-partition change tables can be applied in any
-/// order and one at a time.
+/// The test oracle for [`ChangeFold`]: fold one already-materialized
+/// change table (bound as [`CHANGE_LEAF`]) into the stale view (bound as
+/// [`STALE_LEAF`]) as a plan — the same three-branch merge sequential
+/// maintenance runs, at O(|view|) per fold.
 pub fn merge_change_plan(canonical: &Canonical, cat: &MaintCatalog<'_>) -> Result<Plan> {
     merge_with_stale(canonical, cat, Plan::scan(CHANGE_LEAF))
+}
+
+/// The keyed fold of mini-batch maintenance: applies materialized signed
+/// change tables to a table holding the stale view, in place, through its
+/// primary-key index — O(|change|) per fold where [`merge_change_plan`]
+/// rebuilds the whole view.
+///
+/// A change row whose group is in the view merges with it through the
+/// plan's own per-column expressions (`coalesce0(s) + coalesce0(c)`,
+/// `least`, `greatest`); a group new to the view takes the change row. A
+/// result failing `__svc_cnt > 0` leaves the view. The contents therefore
+/// equal the merge plan's bit for bit. View rows the change table does not
+/// touch stay as they are, which matches the plan because a view never
+/// holds a row with `__svc_cnt <= 0`: every fold drops them.
+///
+/// For additive merge rules folds are associative, so per-partition change
+/// tables can be applied one at a time in any order.
+#[derive(Debug, Clone)]
+pub struct ChangeFold {
+    /// Schema of the view the fold applies to.
+    view: Schema,
+    /// Per aggregate column: its position in the view and its merge
+    /// expression, bound over the row `stale ++ change` (change columns in
+    /// view order).
+    merges: Vec<(usize, BoundExpr)>,
+    /// [`live_group`] bound over a view row.
+    live: BoundExpr,
+}
+
+impl ChangeFold {
+    /// Prepare the fold for a canonical aggregate view whose materialized
+    /// table has schema `view`. Errors for non-aggregate views and for
+    /// views with a non-mergeable (median) column.
+    pub fn new(canonical: &Canonical, view: &Schema) -> Result<ChangeFold> {
+        let Plan::Aggregate { group_by, .. } = &canonical.plan else {
+            return Err(StorageError::Invalid("canonical plan is not an aggregate".into()));
+        };
+        let names: Vec<String> = view.names().iter().map(|n| n.to_string()).collect();
+        let agg = names.get(group_by.len()..).ok_or_else(|| {
+            StorageError::Invalid("view schema is narrower than its group key".into())
+        })?;
+        let mut both = view.fields().to_vec();
+        both.extend(
+            view.fields().iter().map(|f| Field::new(format!("{CHANGE_PREFIX}{}", f.name), f.dtype)),
+        );
+        let both = Schema::new(both)?;
+        let merges = merge_exprs(canonical, agg)?
+            .iter()
+            .map(|(a, e)| Ok((view.resolve(a)?, e.bind(&both)?)))
+            .collect::<Result<_>>()?;
+        Ok(ChangeFold { view: view.clone(), merges, live: live_group().bind(view)? })
+    }
+
+    /// Fold one change table into `shadow`, which holds the view. The
+    /// change table must carry every view column by name and at most one
+    /// row per group. On error `shadow` may hold a partial fold; callers
+    /// that need atomicity fold into a copy.
+    pub fn apply(&self, shadow: &mut Table, change: &Table) -> Result<()> {
+        if shadow.schema() != &self.view {
+            return Err(StorageError::Invalid(format!(
+                "change fold prepared for [{}] applied to [{}]",
+                self.view,
+                shadow.schema()
+            )));
+        }
+        // Position in the change table of each view column, and of each
+        // view key column.
+        let pos = self.view.fields().iter().map(|f| change.schema().resolve(&f.name));
+        let pos: Vec<usize> = pos.collect::<Result<_>>()?;
+        let key_pos: Vec<usize> = shadow.key().iter().map(|&k| pos[k]).collect();
+        let mut both = Vec::with_capacity(2 * self.view.len());
+        for change_row in change.rows() {
+            let key = KeyTuple::of(change_row, &key_pos);
+            // A group in the view merges in place; the expressions read
+            // the row `stale ++ change` copied into `both`.
+            let live = shadow.update(&key, |row| {
+                both.clear();
+                both.extend_from_slice(row);
+                both.extend(pos.iter().map(|&i| change_row[i].clone()));
+                for (at, merged) in &self.merges {
+                    row[*at] = merged.eval(&both);
+                }
+                self.live.matches(row)
+            })?;
+            match live {
+                Some(true) => {}
+                Some(false) => {
+                    shadow.delete(&key);
+                }
+                None => {
+                    let row: Vec<_> = pos.iter().map(|&i| change_row[i].clone()).collect();
+                    if self.live.matches(&row) {
+                        shadow.insert(row)?;
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Compile a batch of delta chunks into per-partition change-table plans.
@@ -495,5 +609,31 @@ mod tests {
         assert!(cat.leaf("__ins.log@x7").is_none());
         assert!(cat.leaf("log@3").is_none());
         assert!(cat.leaf("__ins.missing@0").is_none());
+    }
+
+    #[test]
+    fn change_fold_rejects_non_aggregate_views_and_foreign_tables() {
+        use crate::canon::canonicalize;
+        use svc_relalg::aggregate::AggSpec;
+
+        let mut db = Database::new();
+        let mut t = Table::new(
+            Schema::from_pairs(&[("id", DataType::Int), ("x", DataType::Float)]).unwrap(),
+            &["id"],
+        )
+        .unwrap();
+        t.insert(vec![Value::Int(1), Value::Float(1.0)]).unwrap();
+        db.create_table("log", t.clone());
+
+        let spj = canonicalize(&Plan::scan("log"));
+        assert!(ChangeFold::new(&spj, t.schema()).is_err(), "SPJ views have no change fold");
+
+        let agg =
+            canonicalize(&Plan::scan("log").aggregate(&["id"], vec![AggSpec::count_all("n")]));
+        let view = derive(&agg.plan, &db).unwrap().schema;
+        let fold = ChangeFold::new(&agg, &view).unwrap();
+        // A table of another shape is not the view this fold was built for.
+        let change = t.clone();
+        assert!(fold.apply(&mut t, &change).is_err());
     }
 }

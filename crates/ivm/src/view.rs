@@ -509,7 +509,7 @@ mod tests {
                 key: view.table().key().to_vec(),
             },
         };
-        let chunks = deltas.clone().partition(4);
+        let chunks = deltas.partition(4);
         assert!(chunks.len() > 1, "enough records to actually partition");
         let plans = batch_change_plans(view.canonical(), &cat, &chunks).unwrap();
         assert_eq!(plans.len(), chunks.len());

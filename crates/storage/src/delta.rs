@@ -172,16 +172,12 @@ impl Deltas {
     /// round-robin). Keys stay unique within each chunk because they were
     /// unique in `self`; merging the chunks back reproduces `self` exactly.
     /// Chunks that would be empty are omitted, so short tails never produce
-    /// zero-record partitions.
-    ///
-    /// Consumes the delta set: every row is *moved* into its chunk — the
-    /// mini-batch path partitions the full pending stream per batch, and
-    /// cloning each row (with its boxed values) dominated that hot path.
-    /// Callers that still need the original clone it explicitly.
-    pub fn partition(self, parts: usize) -> Vec<Deltas> {
+    /// zero-record partitions. Each row is cloned once, straight into its
+    /// chunk; no delta table is copied on the way.
+    pub fn partition(&self, parts: usize) -> Vec<Deltas> {
         let parts = parts.max(1);
         let mut out: Vec<Deltas> = (0..parts).map(|_| Deltas::new()).collect();
-        for (name, set) in self.sets {
+        for (name, set) in &self.sets {
             if set.is_empty() {
                 continue;
             }
@@ -191,14 +187,13 @@ impl Deltas {
                     .entry(name.clone())
                     .or_insert_with(|| DeltaSet::empty_like(&set.insertions));
             }
-            let deletions = set.deletions.into_rows();
-            for (i, row) in set.insertions.into_rows().into_iter().enumerate() {
-                let target = out[i % parts].sets.get_mut(&name).expect("chunk set");
-                target.insertions.insert(row).expect("unique keys split uniquely");
+            for (i, row) in set.insertions.rows().iter().enumerate() {
+                let target = out[i % parts].sets.get_mut(name).expect("chunk set");
+                target.insertions.insert(row.clone()).expect("unique keys split uniquely");
             }
-            for (i, row) in deletions.into_iter().enumerate() {
-                let target = out[i % parts].sets.get_mut(&name).expect("chunk set");
-                target.deletions.insert(row).expect("unique keys split uniquely");
+            for (i, row) in set.deletions.rows().iter().enumerate() {
+                let target = out[i % parts].sets.get_mut(name).expect("chunk set");
+                target.deletions.insert(row.clone()).expect("unique keys split uniquely");
             }
         }
         out.retain(|d| !d.is_empty());
@@ -277,7 +272,7 @@ mod tests {
         deltas.delete(&db, "t", &vec![Value::Int(0), Value::Null]).unwrap();
         deltas.delete(&db, "t", &vec![Value::Int(1), Value::Null]).unwrap();
 
-        let chunks = deltas.clone().partition(4);
+        let chunks = deltas.partition(4);
         assert!(chunks.len() <= 4 && !chunks.is_empty());
         assert!(chunks.iter().all(|c| !c.is_empty()), "no empty chunks");
         assert_eq!(chunks.iter().map(Deltas::len).sum::<usize>(), deltas.len());
@@ -292,9 +287,14 @@ mod tests {
         assert!(direct.same_contents(&via_chunks));
 
         // Far more parts than records: every chunk still carries work.
-        let wide = deltas.clone().partition(64);
+        let wide = deltas.partition(64);
         assert!(wide.len() <= deltas.len());
         assert!(wide.iter().all(|c| !c.is_empty()));
+
+        // Partitioning copies rows, never whole delta tables.
+        let clones = Table::clone_count();
+        deltas.partition(4);
+        assert_eq!(Table::clone_count(), clones, "rows are copied, tables are not cloned");
 
         deltas.apply_to(&mut db).unwrap();
     }

@@ -294,6 +294,30 @@ impl Table {
         }
     }
 
+    /// Change the row with this key in place through `f`, which must leave
+    /// the key columns as they are; returns what `f` returns, or `None`
+    /// when no row has the key. The row keeps its slot and allocation, so
+    /// updates do not scatter the table across the heap the way
+    /// replacing rows ([`Table::upsert`]) does.
+    pub fn update<R>(
+        &mut self,
+        key: &KeyTuple,
+        f: impl FnOnce(&mut Row) -> R,
+    ) -> Result<Option<R>> {
+        svc_fault::fail_point!(svc_fault::site::TABLE_MUTATE, StorageError::Invalid);
+        let Some(&pos) = self.index.get(key) else {
+            return Ok(None);
+        };
+        self.touch();
+        let row = &mut self.rows[pos];
+        let out = f(row);
+        assert!(
+            self.key.iter().zip(&key.0).all(|(&i, v)| row[i] == *v),
+            "Table::update changed the key of row {key}"
+        );
+        Ok(Some(out))
+    }
+
     /// Look up a row by key.
     pub fn get(&self, key: &KeyTuple) -> Option<&Row> {
         self.index.get(key).map(|&i| &self.rows[i])
@@ -426,6 +450,28 @@ mod tests {
         assert_eq!(old.unwrap()[1], Value::str("a"));
         assert_eq!(t.len(), 1);
         assert_eq!(t.get(&KeyTuple(vec![Value::Int(1)])).unwrap()[1], Value::str("z"));
+    }
+
+    #[test]
+    fn update_changes_a_row_in_place() {
+        let mut t = table();
+        t.insert(vec![Value::Int(1), Value::str("a")]).unwrap();
+        let k = KeyTuple(vec![Value::Int(1)]);
+        let cols = t.columns();
+        let old = t.update(&k, |row| std::mem::replace(&mut row[1], Value::str("z"))).unwrap();
+        assert_eq!(old, Some(Value::str("a")));
+        assert_eq!(t.get(&k).unwrap()[1], Value::str("z"));
+        assert!(!Arc::ptr_eq(&cols, &t.columns()), "the cached columns must go stale");
+        assert_eq!(t.update(&KeyTuple(vec![Value::Int(2)]), |_| ()).unwrap(), None);
+        assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "changed the key")]
+    fn update_must_keep_the_key() {
+        let mut t = table();
+        t.insert(vec![Value::Int(1), Value::str("a")]).unwrap();
+        let _ = t.update(&KeyTuple(vec![Value::Int(1)]), |row| row[0] = Value::Int(2));
     }
 
     #[test]

@@ -180,8 +180,9 @@ fn strict_runs_fail_atomically_and_converge() {
     let mut injected_runs = 0u64;
     for i in 0..140u64 {
         let seed = base.wrapping_mul(1_000_003).wrapping_add(i);
-        // Every third seed runs the merge/fallback plans morsel-parallel so
-        // EXEC_MORSEL is reachable.
+        // Every third seed sets a morsel size. The keyed fold runs no plan
+        // and this view never takes the fallback plan, so EXEC_MORSEL stays
+        // unreached here; the seeds still check that the knob is inert.
         let morsel = if i % 3 == 0 { Some(16) } else { None };
         let expected = &expected_plain;
         let schedule = fault::seeded_schedule(seed, &MAINTAIN_SITES, 48);
@@ -452,6 +453,38 @@ fn partial_fold_failure_rolls_back_and_names_the_batch() {
     // Nothing was consumed: the same call now lands the baseline.
     pipeline.maintain(&db, &mut v, &deltas, BATCH).unwrap();
     assert!(v.table().same_contents(&expected));
+}
+
+/// Regression: under the retry policy, a fold that fails on the second
+/// change table of a batch — after the first one was already folded — must
+/// retry from the pre-batch state. The retry lands the failure-free
+/// baseline exactly; re-applying the first chunk would double its counts.
+#[test]
+fn retried_fold_restarts_from_the_pre_batch_state() {
+    let _g = chaos_guard();
+    let db = chaos_db();
+    let view = MaterializedView::create("v", visit_view(), &db).unwrap();
+    let deltas = log_stream(&db, 600);
+    let expected = baseline(&db, &view, &deltas, None);
+
+    let pipeline = BatchPipeline::new(2)
+        .with_policy(FailurePolicy::RetryQuarantine { retries: 1, backoff_ms: 0 });
+    let mut v = view.clone();
+    fault::set(site::BATCH_FOLD, FailSpec { skip: 1, count: 1, action: FailAction::Error });
+    let run = pipeline.maintain(&db, &mut v, &deltas, BATCH).unwrap();
+    let fired = fault::fired(site::BATCH_FOLD);
+    fault::clear_all();
+
+    assert_eq!(fired, 1, "the fold failpoint must fire once");
+    assert_eq!((run.retries, run.quarantined), (1, 0), "one retry, nothing quarantined");
+    assert!(pipeline.quarantined().is_empty() && !v.is_dirty());
+    assert!(
+        v.table().same_contents(&expected),
+        "the retried batch must land the failure-free baseline, no chunk folded twice"
+    );
+    assert_eq!(v.epoch(), view.epoch() + 1, "exactly one commit");
+    let m = pipeline.metrics();
+    assert_eq!(m.folds, run.plans_evaluated as u64, "only the successful attempt counts folds");
 }
 
 /// Database for the partitioned-join chaos sweep: `video` carries a
